@@ -138,11 +138,6 @@ class FleetObservation:
     min_workers: int
     max_workers: int
     demands: tuple[ServableDemand, ...]
-    #: SLO burn-rate breaches (:class:`repro.core.telemetry.SLOBreach`)
-    #: that fired since the previous observation, when the controller
-    #: has an attached :class:`~repro.core.telemetry.SLOBurnMonitor` —
-    #: the trigger rollback/canary policies plan from. Empty otherwise.
-    slo_burns: tuple = ()
     #: Currently *firing* alerts (:class:`repro.core.obsloop.Alert`)
     #: from an attached :class:`~repro.core.obsloop.AlertEngine` — what
     #: :class:`~repro.core.obsloop.ReactiveSLOPolicy` classifies and
@@ -308,8 +303,8 @@ class PredictiveScaling(FleetPolicy):
     *provisioning lead time* ahead: each reconcile it
 
     1. feeds the observation's per-servable effective arrival rate into
-       an :class:`~repro.core.adaptive.ArrivalForecaster` (trend +
-       optional seasonality),
+       an :class:`~repro.core.adaptive.ArrivalForecaster` (Holt level
+       + trend),
     2. projects the rate at ``observation.time + lead_time_s``, and
     3. re-plans the observation with each demand's rate raised to
        ``max(current, forecast)`` before delegating to the base policy.
@@ -327,9 +322,8 @@ class PredictiveScaling(FleetPolicy):
         The reactive policy to wrap (default
         :class:`TargetUtilizationPolicy`).
     forecaster:
-        The projection engine; supply a seasonal one
-        (``ArrivalForecaster(seasonal_period_s=...)``) when traffic has
-        a known cycle.
+        The projection engine (default ``ArrivalForecaster()``); pass
+        one with other ``alpha``/``beta`` smoothing to retune it.
     lead_time_s:
         How far ahead to project. Defaults to the provisioning cold
         start of ``worker_image_bytes`` plus ``reconcile_interval_s`` —
@@ -454,9 +448,7 @@ class FleetController:
     slo_monitor:
         Optional :class:`~repro.core.telemetry.SLOBurnMonitor` (shared
         with the gateway that feeds it). Each reconcile checks it and
-        drains fresh breaches into ``slo_burn`` events and the
-        observation's ``slo_burns`` tuple, giving policies a rollback /
-        canary trigger.
+        drains fresh breaches into ``slo_burn`` events.
     alert_engine:
         Optional :class:`~repro.core.obsloop.AlertEngine` evaluated by
         an :class:`~repro.core.obsloop.ObservabilityLoop` at the scrape
@@ -787,14 +779,12 @@ class FleetController:
                 )
             )
         self._last_sample_at = now
-        slo_burns: tuple = ()
         if self.slo_monitor is not None:
             # Check at the reconcile cadence, then drain everything new
             # (including breaches a direct check() fired between
             # reconciles) — each breach becomes exactly one event.
             self.slo_monitor.check(now)
-            fresh = self.slo_monitor.drain()
-            for breach in fresh:
+            for breach in self.slo_monitor.drain():
                 self._record(
                     "slo_burn",
                     breach.tenant,
@@ -803,7 +793,6 @@ class FleetController:
                     window_s=breach.window_s,
                     samples=breach.samples,
                 )
-            slo_burns = tuple(fresh)
         alerts: tuple = ()
         if self.alert_engine is not None:
             # The engine is *evaluated* at the scrape cadence (by the
@@ -823,7 +812,6 @@ class FleetController:
             min_workers=self.min_workers,
             max_workers=self.max_workers,
             demands=tuple(demands),
-            slo_burns=slo_burns,
             alerts=alerts,
         )
 

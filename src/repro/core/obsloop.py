@@ -1,15 +1,14 @@
 """The closed observability loop: scrape → store → rule → alert → react.
 
-PR 7 gave the serving stack eyes — span traces, a unified
+The stack's signals — span traces, the pull sources of a
 :class:`~repro.core.telemetry.TelemetryHub`, and a per-tenant
-:class:`~repro.core.telemetry.SLOBurnMonitor` — but nothing *read*
-those signals over time or acted on them. This module closes the loop
-on the virtual clock:
+:class:`~repro.core.telemetry.SLOBurnMonitor` — are read over time and
+acted on here, on the virtual clock:
 
 - :class:`SeriesStore` — a windowed time-series store: fixed-capacity
   ring buffers per series, fed by periodic hub scrapes, with windowed
   queries (``avg`` / ``rate`` / ``percentile`` / ``delta``) over any
-  labeled instrument.
+  scraped or recorded series.
 - :class:`AlertEngine` + rule classes — a declarative alert rules
   engine: :class:`ThresholdRule` (windowed aggregate vs bound),
   :class:`BurnRateRule` (multi-window SLO burn), and
@@ -60,6 +59,7 @@ __all__ = [
     "SeriesStore",
     "ThresholdRule",
     "burn_series",
+    "burning_tenants",
     "sample_rate_series",
 ]
 
@@ -78,6 +78,19 @@ def sample_rate_series(tenant: str) -> str:
     return f"trace_sample_rate{{tenant={tenant}}}"
 
 
+def burning_tenants(alerts) -> tuple[str, ...]:
+    """Tenants named by firing alerts labelled ``kind="burn"``, sorted."""
+    return tuple(
+        sorted(
+            {
+                alert.labels["tenant"]
+                for alert in alerts
+                if alert.labels.get("kind") == "burn" and "tenant" in alert.labels
+            }
+        )
+    )
+
+
 # ---------------------------------------------------------------------------
 # Windowed time-series store
 # ---------------------------------------------------------------------------
@@ -86,12 +99,10 @@ class SeriesStore:
 
     Fed by :meth:`scrape` (one flattened
     :meth:`~repro.core.telemetry.TelemetryHub.snapshot` per scrape
-    interval) or :meth:`record` directly. Series names are the hub's
-    rendered instrument names (``name{label=value}``); histogram
-    summaries land as ``name:count`` / ``name:sum`` / ``name:mean``
-    and numeric leaves of pull-source payloads as
-    ``src:<source>.<dotted.path>`` — so *any* labeled instrument is
-    queryable over a window.
+    interval) or :meth:`record` directly. Numeric leaves of pull-source
+    payloads land as ``src:<source>.<dotted.path>``, and the loop's own
+    gauges under labeled names (``slo_burn_rate{tenant=...}``) — so
+    any scraped or recorded value is queryable over a window.
 
     Parameters
     ----------
@@ -127,22 +138,10 @@ class SeriesStore:
         has no numeric leaves) instead of poisoning the scrape.
         """
         snap = hub.snapshot(strict=False)
-        touched = 0
-        for name, value in snap["counters"].items():
-            self.record(name, now, value)
-            touched += 1
-        for name, value in snap["gauges"].items():
-            self.record(name, now, value)
-            touched += 1
-        for name, summary in snap["histograms"].items():
-            self.record(f"{name}:count", now, summary["count"])
-            self.record(f"{name}:sum", now, summary["sum"])
-            if summary["mean"] is not None:
-                self.record(f"{name}:mean", now, summary["mean"])
-            touched += 1
-        for name, payload in snap["sources"].items():
-            touched += self._flatten(f"src:{name}", payload, now)
-        return touched
+        return sum(
+            self._flatten(f"src:{name}", payload, now)
+            for name, payload in snap["sources"].items()
+        )
 
     def _flatten(self, prefix: str, payload, now: float) -> int:
         """Record every numeric leaf of a nested source payload."""
@@ -306,6 +305,8 @@ class ThresholdRule(AlertRule):
             agg.startswith("p") and agg[1:].isdigit()
         ):
             raise ObsLoopError(f"unknown agg {agg!r}")
+        if agg.startswith("p") and int(agg[1:]) > 100:
+            raise ObsLoopError(f"percentile agg {agg!r} must be p0..p100")
         self.series = series
         self.threshold = threshold
         self.window_s = window_s
@@ -709,23 +710,9 @@ class ReactiveSLOPolicy(FleetPolicy):
         self.sheds = 0
         self.reverts = 0
 
-    @staticmethod
-    def _burning(observation: FleetObservation) -> tuple[str, ...]:
-        """Tenants named by currently firing burn alerts, sorted."""
-        return tuple(
-            sorted(
-                {
-                    alert.labels["tenant"]
-                    for alert in observation.alerts
-                    if alert.labels.get("kind") == "burn"
-                    and "tenant" in alert.labels
-                }
-            )
-        )
-
     def plan(self, observation: FleetObservation) -> FleetPlan:
         """Classify any firing burn and react before delegating."""
-        burning = self._burning(observation)
+        burning = burning_tenants(observation.alerts)
         self.last_mode = None
         planned = observation
         if burning and observation.routable_workers < observation.max_workers:
@@ -854,16 +841,7 @@ class ObservabilityLoop:
     # -- one pass --------------------------------------------------------------
     def burning(self) -> tuple[str, ...]:
         """Tenants named by currently firing burn-labeled alerts."""
-        return tuple(
-            sorted(
-                {
-                    alert.labels["tenant"]
-                    for alert in self.engine.firing()
-                    if alert.labels.get("kind") == "burn"
-                    and "tenant" in alert.labels
-                }
-            )
-        )
+        return burning_tenants(self.engine.firing())
 
     def scrape(self, now: float) -> None:
         """One full loop pass at ``now`` (also callable standalone)."""

@@ -162,9 +162,6 @@ class ServingRuntime:
     max_coalesce_delay_s:
         Longest a request may wait (virtual time) for its batch to fill
         before the window is flushed anyway.
-    stage_metrics:
-        Optional collector for per-stage latencies; a fresh
-        :class:`StageLatencyCollector` is created if omitted.
     lane_idle_ttl_s:
         How long (virtual time) a tenant lane may sit empty and idle
         before it is garbage-collected from the per-servable topic scan.
@@ -192,7 +189,6 @@ class ServingRuntime:
         workers: list[TaskManager],
         max_batch_size: int = 32,
         max_coalesce_delay_s: float = 0.010,
-        stage_metrics: StageLatencyCollector | None = None,
         lane_idle_ttl_s: float = 5.0,
         max_lanes_per_servable: int = 64,
         tracer=None,
@@ -215,7 +211,7 @@ class ServingRuntime:
         self.workers = list(workers)
         self.max_batch_size = max_batch_size
         self.max_coalesce_delay_s = max_coalesce_delay_s
-        self.stage_metrics = stage_metrics or StageLatencyCollector()
+        self.stage_metrics = StageLatencyCollector()
         self._hosts: dict[str, list[TaskManager]] = {}
         #: Queue lanes seen per servable. Untagged requests ride the
         #: default lane; tenant-tagged requests get their own lane, so
@@ -683,10 +679,6 @@ class ServingRuntime:
         topics from ``on_tick``/``on_settled``.
         """
         self._ingress = ingress
-
-    def detach_ingress(self) -> None:
-        """Unhook the request source from the serve loop."""
-        self._ingress = None
 
     # -- submission ---------------------------------------------------------------
     def submit(

@@ -12,17 +12,15 @@ Three observability primitives the serving stack composes:
   errored and slow outliers regardless, so the interesting traces
   survive even at 1% sampling. Retained traces export to the Chrome
   trace-event format (``chrome://tracing`` / Perfetto waterfalls).
-* :class:`TelemetryHub` — one labeled counter/gauge/histogram registry
-  plus pull adapters over the scattered collectors that predate it
-  (:class:`~repro.core.metrics.StageLatencyCollector`,
+* :class:`TelemetryHub` — a registry of pull sources over the
+  collectors (:class:`~repro.core.metrics.StageLatencyCollector`,
   :class:`~repro.core.metrics.TenantUsageCollector`, pod-busy gauges,
   the fleet controller's event log), with a JSON snapshot export.
   Sources are bound by duck type, so this module imports none of them.
 * :class:`SLOBurnMonitor` — windowed per-tenant burn rate of a latency
   SLO (bad fraction over the window divided by the error budget). The
   gateway feeds it settlements; the fleet controller drains breaches
-  into ``slo_burn`` :class:`~repro.core.fleet.FleetEvent` entries and
-  exposes them to :class:`~repro.core.fleet.FleetPolicy` plans.
+  into ``slo_burn`` :class:`~repro.core.fleet.FleetEvent` entries.
 """
 
 from __future__ import annotations
@@ -705,104 +703,17 @@ class Tracer:
 # ---------------------------------------------------------------------------
 # Telemetry hub
 # ---------------------------------------------------------------------------
-class _Counter:
-    """Monotonic labeled counter."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def inc(self, delta: float = 1.0) -> None:
-        """Add ``delta`` (must be >= 0)."""
-        if delta < 0:
-            raise TelemetryError("counters only go up")
-        self.value += delta
-
-
-class _Gauge:
-    """Last-write-wins labeled gauge."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Record the current level."""
-        self.value = value
-
-
-class _Histogram:
-    """Streaming summary (count/sum/min/max) of observed values."""
-
-    __slots__ = ("count", "total", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def observe(self, value: float) -> None:
-        """Fold one observation into the summary."""
-        self.count += 1
-        self.total += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-
-    def summary(self) -> dict:
-        """The summary as plain data."""
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-            "mean": self.total / self.count if self.count else None,
-        }
-
-
 class TelemetryHub:
-    """One registry for labeled instruments and pull-through sources.
+    """One registry of pull-through sources.
 
-    Push side: :meth:`counter` / :meth:`gauge` / :meth:`histogram`
-    return label-keyed instruments (created on first use, stable
-    identity after). Pull side: :meth:`register_source` binds a
-    zero-argument callable whose return value is embedded verbatim in
-    every snapshot — how the pre-existing collectors (stage latencies,
-    tenant usage, pod gauges, fleet events) are unified without this
-    module importing any of them.
+    :meth:`register_source` binds a zero-argument callable whose return
+    value is embedded verbatim in every snapshot — how the collectors
+    (stage latencies, tenant usage, pod gauges, fleet events) are
+    unified without this module importing any of them.
     """
 
     def __init__(self) -> None:
-        self._counters: dict[tuple, _Counter] = {}
-        self._gauges: dict[tuple, _Gauge] = {}
-        self._histograms: dict[tuple, _Histogram] = {}
         self._sources: dict[str, object] = {}
-
-    @staticmethod
-    def _key(name: str, labels: dict) -> tuple:
-        return (name, tuple(sorted(labels.items())))
-
-    @staticmethod
-    def _render(key: tuple) -> str:
-        name, labels = key
-        if not labels:
-            return name
-        inner = ",".join(f"{k}={v}" for k, v in labels)
-        return f"{name}{{{inner}}}"
-
-    def counter(self, name: str, **labels) -> _Counter:
-        """The counter registered under ``name`` + ``labels``."""
-        return self._counters.setdefault(self._key(name, labels), _Counter())
-
-    def gauge(self, name: str, **labels) -> _Gauge:
-        """The gauge registered under ``name`` + ``labels``."""
-        return self._gauges.setdefault(self._key(name, labels), _Gauge())
-
-    def histogram(self, name: str, **labels) -> _Histogram:
-        """The histogram registered under ``name`` + ``labels``."""
-        return self._histograms.setdefault(self._key(name, labels), _Histogram())
 
     def register_source(self, name: str, source) -> None:
         """Bind a pull source: a callable returning JSON-able data.
@@ -818,9 +729,7 @@ class TelemetryHub:
     def unregister_source(self, name: str) -> bool:
         """Drop a pull source (e.g. its worker left the fleet).
 
-        Returns whether the name was registered. Instrument series are
-        untouched — history recorded from a departed source remains
-        queryable.
+        Returns whether the name was registered.
         """
         return self._sources.pop(name, None) is not None
 
@@ -848,21 +757,7 @@ class TelemetryHub:
                     sources[name] = source()
                 except Exception as exc:  # noqa: BLE001 — churn isolation
                     sources[name] = {"error": repr(exc)}
-        return {
-            "counters": {
-                self._render(key): counter.value
-                for key, counter in sorted(self._counters.items())
-            },
-            "gauges": {
-                self._render(key): gauge.value
-                for key, gauge in sorted(self._gauges.items())
-            },
-            "histograms": {
-                self._render(key): histogram.summary()
-                for key, histogram in sorted(self._histograms.items())
-            },
-            "sources": sources,
-        }
+        return {"sources": sources}
 
     def snapshot_json(self, indent: int | None = None) -> str:
         """:meth:`snapshot`, serialized."""

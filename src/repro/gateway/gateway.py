@@ -143,15 +143,6 @@ class ServingGateway:
         a lone backlogged tenant overflow its share, but the reserve
         keeps instant headroom so another tenant's first request is
         released at arrival instead of waiting for a settle.
-    capacity_hint:
-        Optional ``() -> int`` returning the number of routable workers
-        the live budget should be sized to. Defaults to counting the
-        runtime's alive workers that are not *warming* (still paying a
-        provisioning/placement cold start — ``runtime.is_warming``);
-        counting those would let a hot tenant park a backlog against
-        capacity that cannot serve for seconds. A fleet controller can
-        substitute its own view (e.g. excluding draining workers it is
-        about to retire).
     drain_deadline_s:
         How long (virtual time) the gateway tolerates being
         *over-committed* — ``outstanding`` above a freshly shrunk live
@@ -173,10 +164,7 @@ class ServingGateway:
         policies: TenantPolicyTable,
         max_dispatch_slots: int | None = None,
         slot_reserve: int | None = None,
-        metrics: TenantUsageCollector | None = None,
-        capacity_hint=None,
         drain_deadline_s: float | None = 2.0,
-        tracer=None,
         slo_monitor=None,
         journal=None,
     ) -> None:
@@ -187,7 +175,6 @@ class ServingGateway:
         self.auth = auth
         self.runtime = runtime
         self.policies = policies
-        self.capacity_hint = capacity_hint
         self.drain_deadline_s = drain_deadline_s
         self._over_budget_since: float | None = None
         #: Requests pulled back from the runtime queue into lanes after
@@ -225,9 +212,9 @@ class ServingGateway:
                 raise GatewayError("slot_reserve must be in [0, max_dispatch_slots)")
             self.slot_reserve = slot_reserve
         #: Tracer contributing the gateway-side spans (``admission``,
-        #: ``lane_wait``) to the request span tree. Defaults to the
-        #: runtime's tracer so one attach point covers the whole path.
-        self.tracer = tracer if tracer is not None else runtime.tracer
+        #: ``lane_wait``) to the request span tree: the runtime's, so
+        #: one attach point covers the whole path.
+        self.tracer = runtime.tracer
         #: Optional :class:`~repro.core.telemetry.SLOBurnMonitor` fed a
         #: sample per settlement; a fleet controller sharing it drains
         #: breaches into ``slo_burn`` events.
@@ -241,7 +228,7 @@ class ServingGateway:
         #: Optional fault injector (chaos tests); trips named injection
         #: points on the admission path.
         self.chaos = None
-        self.metrics = metrics or TenantUsageCollector()
+        self.metrics = TenantUsageCollector()
         self.admission = AdmissionController(runtime.clock, self.metrics)
         self.scheduler = WeightedFairScheduler()
         self._open: dict[str, GatewayResult] = {}
@@ -268,14 +255,11 @@ class ServingGateway:
         admitted work can park in the runtime's queue while the
         controller heals the fleet.
         """
-        if self.capacity_hint is not None:
-            workers = self.capacity_hint()
-        else:
-            workers = sum(
-                1
-                for w in self.runtime.alive_workers()
-                if not self.runtime.is_warming(w)
-            )
+        workers = sum(
+            1
+            for w in self.runtime.alive_workers()
+            if not self.runtime.is_warming(w)
+        )
         in_flight_capacity = self.runtime.max_batch_size * max(1, workers)
         reserve = (
             max(1, in_flight_capacity // 8)

@@ -6,8 +6,6 @@ container cold starts, placement rebalancing, and Fig. 7 replica
 scaling — all audited through the :class:`FleetEvent` log.
 """
 
-import math
-
 import pytest
 
 from repro.core.adaptive import ArrivalForecaster, replicas_for_rate
@@ -585,6 +583,84 @@ class TestPredictiveScaling:
         obs = observation([demand(arrival_rate_rps=10.0)])
         policy.plan(obs)
         assert forecaster.keys() == ["noop"]
+
+
+#: A quiet -> spike -> decay arrival-rate trace at irregular sample
+#: times, with one repeated timestamp (the level-only refresh path).
+SPIKE_DECAY_TRACE = (
+    (0.0, 40.0), (0.21, 42.0), (0.5, 38.0), (0.73, 120.0), (0.98, 380.0),
+    (1.3, 720.0), (1.3, 760.0), (1.52, 900.0), (1.79, 640.0), (2.05, 410.0),
+    (2.4, 260.0), (2.61, 150.0), (2.9, 90.0), (3.3, 55.0), (3.55, 40.0),
+)
+
+
+class TestForecastPin:
+    """Exact projections over one fixed trace. The values are recorded
+    outputs, not derived expectations: any change to the Holt update or
+    the planner's ``max(current, forecast)`` shows up here bit-for-bit."""
+
+    def test_forecaster_values_are_pinned(self):
+        # (rate_rps, level, trend_per_s) one second past each sample.
+        expected = (
+            (40.0, 40.0, 0.0),
+            (41.82374435373889, 41.0, 0.823744353738892),
+            (39.1315645693082, 39.61944293129214, -0.4878783619839404),
+            (112.2782058668596, 79.75361545401792, 32.52459041284167),
+            (385.76594666471914, 233.9423815286142, 151.82356513610495),
+            (829.1303306545126, 501.2629611860839, 327.8673694684288),
+            (958.4988500614706, 630.6314805930419, 327.8673694684288),
+            (1210.3131467051044, 801.3811509380481, 408.93199576705615),
+            (1074.2972931753895, 775.8963948975767, 298.40089827781287),
+            (749.4076353560044, 631.740314224904, 117.66732113110052),
+            (419.00929322890966, 466.46193831039454, -47.45264508148492),
+            (129.55825799979402, 303.24844142164136, -173.69018342184734),
+            (0.0, 171.4391441146528, -239.64955087209484),
+            (0.0, 65.28966188290744, -247.7930190114533),
+            (0.0, 21.670703565022055, -232.82176112722303),
+        )
+        forecaster = ArrivalForecaster()
+        for (t, rate), pinned in zip(SPIKE_DECAY_TRACE, expected):
+            forecaster.observe("m", t, rate)
+            forecast = forecaster.forecast("m", t + 1.0)
+            assert (
+                forecast.rate_rps, forecast.level, forecast.trend_per_s
+            ) == pinned
+
+    def test_planning_rates_are_pinned(self):
+        # (forecast rate_rps, planning rate, planned copies) per reconcile.
+        expected = (
+            (40.0, 40.0, 1),
+            (42.70053784385857, 42.70053784385857, 1),
+            (38.612266840812495, 38.612266840812495, 1),
+            (146.89737990228826, 146.89737990228826, 3),
+            (547.3669493955892, 547.3669493955892, 8),
+            (1178.1123587167085, 1178.1123587167085, 8),
+            (1307.4808781236666, 1307.4808781236666, 8),
+            (1645.580362999559, 1645.580362999559, 8),
+            (1391.9152093022935, 1391.9152093022935, 8),
+            (874.6527319679478, 874.6527319679478, 8),
+            (368.5006978041771, 368.5006978041771, 6),
+            (0.0, 150.0, 3),
+            (0.0, 90.0, 2),
+            (0.0, 55.0, 1),
+            (0.0, 40.0, 1),
+        )
+        policy = PredictiveScaling(TargetUtilizationPolicy())
+        for (t, rate), pinned in zip(SPIKE_DECAY_TRACE, expected):
+            obs = FleetObservation(
+                time=t,
+                routable_workers=1,
+                draining_workers=0,
+                min_workers=1,
+                max_workers=8,
+                demands=(demand(name="m", arrival_rate_rps=rate),),
+            )
+            plan = policy.plan(obs)
+            assert (
+                policy.last_forecasts["m"].rate_rps,
+                policy.last_planning_rates["m"],
+                plan.copies["m"],
+            ) == pinned
 
 
 class TestPredictiveController:

@@ -81,27 +81,35 @@ class TestSeriesStore:
 
     def test_scrape_flattens_every_instrument_kind(self):
         hub = TelemetryHub()
-        hub.counter("reqs", tenant="a").inc(3)
-        hub.gauge("depth").set(7.0)
-        hub.histogram("lat").observe(0.5)
+        hub.register_source("count", lambda: 3)
+        hub.register_source("depth", lambda: 7.0)
         hub.register_source(
-            "stack", lambda: {"a": {"b": 2}, "flag": True, "name": "x"}
+            "stack",
+            lambda: {
+                "a": {"b": 2},
+                "lat": {"count": 1, "mean": 0.5},
+                "flag": True,
+                "name": "x",
+                "events": [{"t": 0.0}],
+            },
         )
         store = SeriesStore()
         touched = store.scrape(hub, now=1.0)
-        assert touched >= 4
-        names = store.names()
-        assert "reqs{tenant=a}" in names
-        assert "depth" in names
-        assert {"lat:count", "lat:sum", "lat:mean"} <= set(names)
-        assert "src:stack.a.b" in names
-        # Bools and strings are not numeric leaves.
-        assert "src:stack.flag" not in names
-        assert "src:stack.name" not in names
+        assert touched == 5
+        assert store.names() == (
+            "src:count",
+            "src:depth",
+            "src:stack.a.b",
+            "src:stack.lat.count",
+            "src:stack.lat.mean",
+        )
+        assert store.latest("src:depth") == (1.0, 7.0)
+        # Bools, strings and lists are not numeric leaves.
+        assert "src:stack.flag" not in store.names()
 
     def test_scrape_survives_a_raising_source(self):
         hub = TelemetryHub()
-        hub.counter("ok").inc(1)
+        hub.register_source("ok", lambda: 1)
 
         def _broken():
             raise RuntimeError("mid-churn")
@@ -109,7 +117,7 @@ class TestSeriesStore:
         hub.register_source("broken", _broken)
         store = SeriesStore()
         store.scrape(hub, now=0.0)
-        assert store.latest("ok") == (0.0, 1.0)
+        assert store.latest("src:ok") == (0.0, 1.0)
         assert not any(n.startswith("src:broken") for n in store.names())
 
 
@@ -142,6 +150,8 @@ class TestThresholdRule:
             ThresholdRule("r", "s", 1.0, op="!=")
         with pytest.raises(ObsLoopError):
             ThresholdRule("r", "s", 1.0, agg="median")
+        with pytest.raises(ObsLoopError):
+            ThresholdRule("r", "s", 1.0, agg="p150")
         with pytest.raises(ObsLoopError):
             ThresholdRule("", "s", 1.0)
         with pytest.raises(ObsLoopError):
@@ -481,7 +491,7 @@ class TestObservabilityLoop:
     def test_ticks_at_the_scrape_cadence(self):
         clock = VirtualClock()
         hub = TelemetryHub()
-        hub.counter("c").inc(1)
+        hub.register_source("c", lambda: 1)
         loop = ObservabilityLoop(clock, hub, scrape_interval_s=0.1)
         assert loop.next_wakeup() == clock.now()
         loop.on_tick()
@@ -492,6 +502,11 @@ class TestObservabilityLoop:
         loop.on_tick()
         assert loop.scrapes == 2
         assert loop.next_wakeup() == pytest.approx(clock.now() + 0.1)
+        # One sample per scrape, stamped at the scrape's virtual time.
+        assert loop.store.window("src:c", 1.0, clock.now()) == [
+            (0.0, 1.0),
+            (clock.now(), 1.0),
+        ]
 
     def test_burn_gauges_recorded_cold_is_zero(self):
         clock = VirtualClock()

@@ -472,44 +472,6 @@ class TestSLOBurnMonitor:
 
 
 class TestTelemetryHub:
-    def test_instruments_are_stable_by_name_and_labels(self):
-        hub = TelemetryHub()
-        counter = hub.counter("served", tenant="t")
-        counter.inc()
-        counter.inc(2.0)
-        assert hub.counter("served", tenant="t") is counter
-        assert hub.counter("served", tenant="other") is not counter
-        assert counter.value == 3.0
-        with pytest.raises(TelemetryError):
-            counter.inc(-1.0)
-
-    def test_gauge_and_histogram(self):
-        hub = TelemetryHub()
-        hub.gauge("depth").set(7.0)
-        hub.gauge("depth").set(3.0)
-        assert hub.gauge("depth").value == 3.0
-        histogram = hub.histogram("latency", stage="dispatch")
-        for value in (1.0, 3.0, 2.0):
-            histogram.observe(value)
-        assert histogram.summary() == {
-            "count": 3,
-            "sum": 6.0,
-            "min": 1.0,
-            "max": 3.0,
-            "mean": 2.0,
-        }
-        assert hub.histogram("empty").summary()["min"] is None
-
-    def test_snapshot_renders_prometheus_style_keys(self):
-        hub = TelemetryHub()
-        hub.counter("served", tenant="t", servable="noop").inc()
-        hub.gauge("plain").set(1.0)
-        snapshot = hub.snapshot()
-        assert snapshot["counters"] == {
-            "served{servable=noop,tenant=t}": 1.0
-        }
-        assert snapshot["gauges"] == {"plain": 1.0}
-
     def test_sources_pull_fresh_on_every_snapshot(self):
         hub = TelemetryHub()
         state = {"n": 0}
@@ -522,10 +484,9 @@ class TestTelemetryHub:
 
     def test_snapshot_json_round_trips(self):
         hub = TelemetryHub()
-        hub.histogram("latency").observe(1.0)
         hub.register_source("stats", lambda: {"ok": True})
         doc = json.loads(hub.snapshot_json())
-        assert doc["sources"]["stats"] == {"ok": True}
+        assert doc == {"sources": {"stats": {"ok": True}}}
 
     def test_build_hub_wires_whatever_exists(self):
         tracer = Tracer(sample_rate=1.0)
@@ -638,16 +599,12 @@ class TestTenantSamplingOverrides:
 class TestHubChurn:
     def test_unregister_source(self):
         hub = TelemetryHub()
-        hub.counter("served").inc()
         hub.register_source("w0", lambda: {"depth": 1})
         assert hub.sources() == ("w0",)
         assert hub.unregister_source("w0") is True
         assert hub.unregister_source("w0") is False
         assert hub.sources() == ()
-        snapshot = hub.snapshot()
-        # The source is gone; instrument series survive the departure.
-        assert snapshot["sources"] == {}
-        assert snapshot["counters"] == {"served": 1.0}
+        assert hub.snapshot() == {"sources": {}}
 
     def test_reregistering_replaces_the_collector(self):
         hub = TelemetryHub()

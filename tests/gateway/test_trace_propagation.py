@@ -9,8 +9,6 @@ denials that never settle at all. In every case the request must end
 the run with one finished, well-nested span tree.
 """
 
-import pytest
-
 from repro.core.tasks import TaskRequest
 from repro.core.telemetry import Tracer
 from tests.gateway.test_gateway import build_gateway

@@ -33,13 +33,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 #: quotes, in cell order). ``None`` entries skip a number the cell
 #: carries that is not a plain constructor default (derived values).
 REGISTRY: dict[str, tuple[str, list[str]]] = {
-    "`alpha` / `beta` / `gamma`, `seasonal_period_s`": (
+    "`alpha` / `beta`": (
         "repro.core.adaptive.ArrivalForecaster",
-        ["alpha", "beta", "gamma"],
-    ),
-    "`trend_damping`": (
-        "repro.core.adaptive.ArrivalForecaster",
-        ["trend_damping"],
+        ["alpha", "beta"],
     ),
     "`interval_s`": ("repro.core.fleet.FleetController", ["interval_s"]),
     "`min_workers` / `max_workers`": (
@@ -114,9 +110,8 @@ REGISTRY: dict[str, tuple[str, list[str]]] = {
         "repro.durability.chaos.ChaosHarness",
         ["visibility_timeout_s", "max_deliveries"],
     ),
-    # `seasonal_autodetect` is a boolean opt-in — prose cell, no
-    # machine-checkable number, deliberately unregistered. So is
-    # `durable_store` (unset/None default).
+    # `durable_store` (unset/None default) is a prose cell with no
+    # machine-checkable number, deliberately unregistered.
 }
 
 #: Numbers with an optional time unit, e.g. "0.25 s", "10 ms", "64".
