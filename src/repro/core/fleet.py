@@ -534,6 +534,9 @@ class FleetController:
         self._last_scale_at = -math.inf
 
         self.events: list[FleetEvent] = []
+        #: Events logged per kind — the constant-size view of
+        #: :attr:`events` the telemetry hub exports.
+        self.event_counts: dict[str, int] = {}
         self.health: dict[str, WorkerHealth] = {}
         self.reconciles = 0
         self.peak_routable_workers = len(runtime.alive_workers())
@@ -604,6 +607,7 @@ class FleetController:
     def _record(self, kind: str, subject: str, **detail) -> None:
         if kind in self._SCALE_EVENT_KINDS:
             self._last_scale_at = self.runtime.clock.now()
+        self.event_counts[kind] = self.event_counts.get(kind, 0) + 1
         self.events.append(
             FleetEvent(
                 time=self.runtime.clock.now(),

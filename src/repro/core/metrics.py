@@ -45,17 +45,19 @@ class TimingSummary:
     p95: float
     mean: float
 
-    def as_ms(self) -> dict:
-        """The summary as a flat dict in milliseconds (report-ready)."""
-        return {
-            "servable": self.servable,
-            "metric": self.metric,
-            "count": self.count,
-            "median_ms": self.median * 1e3,
-            "p5_ms": self.p5 * 1e3,
-            "p95_ms": self.p95 * 1e3,
-            "mean_ms": self.mean * 1e3,
-        }
+    @classmethod
+    def from_values(cls, servable: str, metric: str, values) -> TimingSummary:
+        """Median, 5th/95th percentiles and mean of a non-empty sample."""
+        values = np.asarray(values)
+        return cls(
+            servable=servable,
+            metric=metric,
+            count=int(values.size),
+            median=float(np.median(values)),
+            p5=float(np.percentile(values, 5)),
+            p95=float(np.percentile(values, 95)),
+            mean=float(values.mean()),
+        )
 
 
 #: Pipeline stages the serving runtime accounts for each micro-batch.
@@ -236,27 +238,12 @@ class StageLatencyCollector:
 
     def summarize(self, stage: str, servable: str | None = None) -> TimingSummary:
         """Percentile summary of one stage (``servable=None`` aggregates)."""
-        values = np.array(self.samples(stage, servable))
-        if values.size == 0:
+        values = self.samples(stage, servable)
+        if not values:
             raise KeyError(f"no samples for stage {stage!r}, servable {servable!r}")
-        return TimingSummary(
-            servable=servable if servable is not None else "*",
-            metric=stage,
-            count=int(values.size),
-            median=float(np.median(values)),
-            p5=float(np.percentile(values, 5)),
-            p95=float(np.percentile(values, 95)),
-            mean=float(values.mean()),
+        return TimingSummary.from_values(
+            servable if servable is not None else "*", stage, values
         )
-
-    def summary_table(self) -> list[TimingSummary]:
-        """Per-servable summaries for every stage that has samples."""
-        return [
-            self.summarize(stage, servable)
-            for servable in self.servables()
-            for stage in self.stages
-            if self.samples(stage, servable)
-        ]
 
     def stage_sum(self, stage: str, servable: str | None = None) -> float:
         """Sum of one stage's samples (``servable=None`` aggregates).
@@ -268,12 +255,9 @@ class StageLatencyCollector:
         return float(sum(self.samples(stage, servable)))
 
     def snapshot(self) -> dict:
-        """Every stage summary plus pod gauges as one JSON-able doc
+        """Per-pod busy seconds and chunk counts as one JSON-able doc
         (the telemetry hub's pull-source view of this collector)."""
         return {
-            "stages": [
-                summary.as_ms() for summary in self.summary_table()
-            ],
             "pod_busy_s": {
                 f"{servable}/{pod}": busy
                 for (servable, pod), busy in sorted(self._pod_busy.items())
@@ -315,16 +299,16 @@ class TenantCounters:
 
 
 class TenantUsageCollector:
-    """Per-tenant admission counters and end-to-end latency samples.
+    """Per-tenant admission, denial and completion counters.
 
     The serving gateway records every admission decision and completion
-    here; :meth:`latency_summary` reuses :class:`TimingSummary` (metric
-    ``"e2e_latency"``) so tenant tails read like the paper's tables.
+    here. It keeps counters only, so its size is bounded by tenants and
+    servables, not by traffic served; windowed per-tenant latency is
+    the SLO burn monitor's job.
     """
 
     def __init__(self) -> None:
         self._counters: dict[str, TenantCounters] = {}
-        self._latencies: dict[str, list[float]] = defaultdict(list)
         #: servable -> tenant -> cumulative admissions. Indexed by
         #: servable (not flat ``(tenant, servable)`` pairs) so the
         #: fleet controller's per-servable demand reads are a dict
@@ -354,18 +338,13 @@ class TenantUsageCollector:
         denied = self._counter(tenant).denied
         denied[outcome] = denied.get(outcome, 0) + 1
 
-    def record_completion(
-        self, tenant: str, latency_s: float, ok: bool = True
-    ) -> None:
-        """Record one completion (or failure) and its end-to-end latency."""
-        if latency_s < 0:
-            raise ValueError("latency_s must be >= 0")
+    def record_completion(self, tenant: str, ok: bool) -> None:
+        """Record one completion (or failure)."""
         counter = self._counter(tenant)
         if ok:
             counter.completed += 1
         else:
             counter.failed += 1
-        self._latencies[tenant].append(float(latency_s))
 
     # -- reads --------------------------------------------------------------------
     def tenants(self) -> list[str]:
@@ -396,42 +375,21 @@ class TenantUsageCollector:
         by_tenant = self._admitted_by_servable.get(servable, {})
         return {tenant: count for tenant, count in by_tenant.items() if count}
 
-    def latencies(self, tenant: str) -> list[float]:
-        """All end-to-end latency samples recorded for ``tenant``."""
-        return list(self._latencies.get(tenant, ()))
-
     def snapshot(self) -> dict:
-        """Per-tenant counters and latency tails as one JSON-able doc
-        (the telemetry hub's pull-source view of this collector)."""
-        tenants = {}
-        for tenant in self.tenants():
-            counter = self._counters[tenant]
-            entry = {
-                "admitted": counter.admitted,
-                "completed": counter.completed,
-                "failed": counter.failed,
-                "denied": dict(counter.denied),
-                "in_progress": counter.in_progress,
+        """Per-tenant counters as one JSON-able doc (the telemetry hub's
+        pull-source view of this collector)."""
+        return {
+            "tenants": {
+                tenant: {
+                    "admitted": counter.admitted,
+                    "completed": counter.completed,
+                    "failed": counter.failed,
+                    "denied": dict(counter.denied),
+                    "in_progress": counter.in_progress,
+                }
+                for tenant, counter in sorted(self._counters.items())
             }
-            if self._latencies.get(tenant):
-                entry["latency_ms"] = self.latency_summary(tenant).as_ms()
-            tenants[tenant] = entry
-        return {"tenants": tenants}
-
-    def latency_summary(self, tenant: str) -> TimingSummary:
-        """Percentile summary of a tenant's end-to-end latencies."""
-        values = np.array(self._latencies.get(tenant, ()))
-        if values.size == 0:
-            raise KeyError(f"no completions recorded for tenant {tenant!r}")
-        return TimingSummary(
-            servable=tenant,
-            metric="e2e_latency",
-            count=int(values.size),
-            median=float(np.median(values)),
-            p5=float(np.percentile(values, 5)),
-            p95=float(np.percentile(values, 95)),
-            mean=float(values.mean()),
-        )
+        }
 
 
 class MetricsCollector:
@@ -467,15 +425,8 @@ class MetricsCollector:
         records = self._records.get(servable)
         if not records:
             raise KeyError(f"no records for servable {servable!r}")
-        values = np.array([getattr(r, metric) for r in records])
-        return TimingSummary(
-            servable=servable,
-            metric=metric,
-            count=len(values),
-            median=float(np.median(values)),
-            p5=float(np.percentile(values, 5)),
-            p95=float(np.percentile(values, 95)),
-            mean=float(values.mean()),
+        return TimingSummary.from_values(
+            servable, metric, [getattr(r, metric) for r in records]
         )
 
     def summary_table(self) -> list[TimingSummary]:

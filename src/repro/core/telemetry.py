@@ -13,10 +13,12 @@ Three observability primitives the serving stack composes:
   survive even at 1% sampling. Retained traces export to the Chrome
   trace-event format (``chrome://tracing`` / Perfetto waterfalls).
 * :class:`TelemetryHub` — a registry of pull sources over the
-  collectors (:class:`~repro.core.metrics.StageLatencyCollector`,
-  :class:`~repro.core.metrics.TenantUsageCollector`, pod-busy gauges,
-  the fleet controller's event log), with a JSON snapshot export.
-  Sources are bound by duck type, so this module imports none of them.
+  collectors (pod-busy gauges of
+  :class:`~repro.core.metrics.StageLatencyCollector`, the counters of
+  :class:`~repro.core.metrics.TenantUsageCollector`, the fleet
+  controller's event counts per kind), with a JSON snapshot export.
+  Every source is constant-size in the traffic served. Sources are
+  bound by duck type, so this module imports none of them.
 * :class:`SLOBurnMonitor` — windowed per-tenant burn rate of a latency
   SLO (bad fraction over the window divided by the error budget). The
   gateway feeds it settlements; the fleet controller drains breaches
@@ -708,8 +710,8 @@ class TelemetryHub:
 
     :meth:`register_source` binds a zero-argument callable whose return
     value is embedded verbatim in every snapshot — how the collectors
-    (stage latencies, tenant usage, pod gauges, fleet events) are
-    unified without this module importing any of them.
+    (pod gauges, tenant usage, fleet event counts) are unified without
+    this module importing any of them.
     """
 
     def __init__(self) -> None:
@@ -717,6 +719,12 @@ class TelemetryHub:
 
     def register_source(self, name: str, source) -> None:
         """Bind a pull source: a callable returning JSON-able data.
+
+        A source returns a dict of counters and gauges whose size is
+        bounded by the deployment (tenants, pods, servables, event
+        kinds), not by the traffic served, so a scrape costs the same
+        at minute one and at hour ten. Logs and all-time percentiles
+        stay on their collectors for callers that ask for them.
 
         Re-registering a name replaces the previous source — how a
         collector swapped out mid-run (fleet churn) is rebound without
@@ -774,10 +782,10 @@ def build_hub(
     """Wire a hub over whichever stack pieces exist.
 
     Pure duck typing — pass any subset; each contributes pull sources:
-    the runtime its stage-latency/pod collector and dispatch counters,
-    the gateway its tenant-usage collector and WFQ lane depths, the
-    controller its fleet-event log, the tracer its retention stats, the
-    monitor its breach log.
+    the runtime its pod gauges and dispatch counters, the gateway its
+    tenant-usage counters and WFQ lane depths, the controller its
+    fleet-event counts per kind, the tracer its retention stats, the
+    monitor its breach count.
     """
     hub = TelemetryHub()
     if runtime is not None:
@@ -795,34 +803,11 @@ def build_hub(
         hub.register_source("tenant_usage", gateway.metrics.snapshot)
         hub.register_source("wfq_lanes", gateway.scheduler.snapshot)
     if controller is not None:
-        hub.register_source(
-            "fleet_events",
-            lambda: [
-                {
-                    "t": event.time,
-                    "kind": event.kind,
-                    "subject": event.subject,
-                    **event.detail,
-                }
-                for event in controller.events
-            ],
-        )
+        hub.register_source("fleet_events", lambda: dict(controller.event_counts))
     if tracer is not None:
         hub.register_source("tracer", tracer.stats)
     if monitor is not None:
-        hub.register_source(
-            "slo_burn",
-            lambda: [
-                {
-                    "t": breach.time,
-                    "tenant": breach.tenant,
-                    "burn_rate": breach.burn_rate,
-                    "bad_fraction": breach.bad_fraction,
-                    "samples": breach.samples,
-                }
-                for breach in monitor.breaches
-            ],
-        )
+        hub.register_source("slo_burn", lambda: {"breaches": len(monitor.breaches)})
     return hub
 
 

@@ -703,15 +703,12 @@ class ServingGateway:
             self._outstanding_by_tenant[tenant] -= 1
             self.admission.release(tenant, runtime_result.request.servable_name)
             self._note_tenant(tenant)
-            latency = runtime_result.completed_at - open_result.arrived_at
-            self.metrics.record_completion(
-                tenant, latency, ok=runtime_result.result.ok
-            )
+            self.metrics.record_completion(tenant, ok=runtime_result.result.ok)
             if self.slo_monitor is not None:
                 self.slo_monitor.record(
                     tenant,
                     at=runtime_result.completed_at,
-                    latency_s=latency,
+                    latency_s=runtime_result.completed_at - open_result.arrived_at,
                     ok=runtime_result.result.ok,
                 )
         self._pump()
@@ -978,9 +975,12 @@ class ServingGateway:
         admitted (and charged) up front but will never run, so their
         ledger charges must not leak. Rate-limit tokens are *not*
         refunded — the tenant spent its budget on a chain that failed.
+        Each refunded step also settles as a failure in the usage
+        counters, so the tenant's ``in_progress`` gauge returns to zero.
         """
         for name in servable_names:
             self.admission.release(tenant, name)
+            self.metrics.record_completion(tenant, ok=False)
 
     def _request_identity(self, request: TaskRequest) -> Identity:
         if request.identity_id is None:

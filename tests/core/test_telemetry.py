@@ -488,14 +488,123 @@ class TestTelemetryHub:
         doc = json.loads(hub.snapshot_json())
         assert doc == {"sources": {"stats": {"ok": True}}}
 
-    def test_build_hub_wires_whatever_exists(self):
+    def test_build_hub_wires_whatever_exists(self, env):
+        from repro.core.fleet import FleetController
+
+        testbed, zoo = env
         tracer = Tracer(sample_rate=1.0)
         monitor = SLOBurnMonitor()
-        hub = build_hub(tracer=tracer, monitor=monitor)
+        runtime, _ = _traced_runtime(testbed, zoo, tracer)
+        controller = FleetController(runtime, autoscale_replicas=False)
+        hub = build_hub(controller=controller, tracer=tracer, monitor=monitor)
         sources = hub.snapshot()["sources"]
-        assert set(sources) == {"tracer", "slo_burn"}
+        assert set(sources) == {"fleet_events", "tracer", "slo_burn"}
         assert sources["tracer"]["sample_rate"] == 1.0
-        assert sources["slo_burn"] == []
+        assert sources["slo_burn"] == {"breaches": 0}
+        assert sources["fleet_events"] == {}
+        controller._record("worker_down", "rw-0")
+        controller._record("demand_forecast", "noop")
+        controller._record("demand_forecast", "noop")
+        assert hub.snapshot()["sources"]["fleet_events"] == {
+            "worker_down": 1,
+            "demand_forecast": 2,
+        }
+        assert len(controller.events) == 3  # the full log is still kept
+
+
+def _leaf_paths(node, prefix=""):
+    """``{dotted path: leaf type name}`` of a nested snapshot."""
+    if isinstance(node, dict):
+        paths = {}
+        for key, value in node.items():
+            paths.update(_leaf_paths(value, f"{prefix}.{key}" if prefix else key))
+        return paths
+    return {prefix: type(node).__name__}
+
+
+class TestBoundedSnapshot:
+    """Every ``build_hub`` source is constant-size in the traffic served."""
+
+    def test_snapshot_shape_does_not_grow_with_traffic(self, env, monkeypatch):
+        import itertools
+
+        import numpy as np
+
+        from repro.core.fleet import FleetController, PredictiveScaling
+        from repro.gateway import ServingGateway, TenantPolicy, TenantPolicyTable
+
+        testbed, zoo = env
+        tracer = Tracer(sample_rate=0.5)
+        runtime, _ = _traced_runtime(testbed, zoo, tracer)
+        policies = TenantPolicyTable()
+        tokens = []
+        for name in ("a", "b"):
+            policies.register(TenantPolicy(name=name))
+            identity, token = testbed.new_user(f"{name}_user")
+            policies.bind_identity(identity, name)
+            tokens.append(token)
+        monitor = SLOBurnMonitor()
+        gateway = ServingGateway(testbed.auth, runtime, policies, slo_monitor=monitor)
+        # One fixed worker: the only events are the forecaster's
+        # ``demand_forecast`` entries, and the log keeps growing.
+        controller = FleetController(
+            runtime,
+            gateway=gateway,
+            policy=PredictiveScaling(),
+            min_workers=1,
+            max_workers=1,
+            autoscale_replicas=False,
+            slo_monitor=monitor,
+        )
+        hub = build_hub(
+            runtime=runtime,
+            gateway=gateway,
+            controller=controller,
+            tracer=tracer,
+            monitor=monitor,
+        )
+        seq = itertools.count()
+
+        def serve(n, seconds):
+            # Arrival density rises across the call, so the forecaster
+            # keeps projecting above the observed rate; requests arrive
+            # in pairs (one per tenant) so batches split across pods.
+            return gateway.serve(
+                [
+                    (
+                        seconds * (i // 2 / n) ** 0.5,
+                        tokens[i % 2],
+                        TaskRequest("noop", args=(next(seq),)),
+                    )
+                    for i in range(n)
+                ]
+            )
+
+        n = 40
+        serve(n, 1.0)  # warm-up: every tenant and pod has been touched
+        serve(n, 1.0)
+        first = hub.snapshot()
+        events_before = len(controller.events)
+        serve(3 * n, 3.0)
+        second = hub.snapshot()
+
+        assert len(controller.events) > events_before > 0
+        assert second["sources"]["fleet_events"] == {
+            "demand_forecast": len(controller.events)
+        }
+        shape_first, shape_second = _leaf_paths(first), _leaf_paths(second)
+        assert shape_first.keys() == shape_second.keys()
+        for shape in (shape_first, shape_second):
+            lists = {path for path, kind in shape.items() if kind == "list"}
+            assert lists == {"sources.wfq_lanes.eligible"}
+        assert len(second["sources"]["stage_latency"]["pod_busy_s"]) == 2
+
+        def _forbidden(*args, **kwargs):
+            raise AssertionError("a scrape must not compute percentiles")
+
+        monkeypatch.setattr(np, "percentile", _forbidden)
+        monkeypatch.setattr(np, "median", _forbidden)
+        assert hub.snapshot() == second
 
 
 class TestChromeExport:

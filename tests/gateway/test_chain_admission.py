@@ -169,3 +169,6 @@ class TestChainAdmission:
         # and its up-front in-flight charge was refunded, not leaked.
         assert gateway.admission.in_flight("lab") == 0
         assert gateway.admission.in_flight("lab", "matminer_model") == 0
+        # The refunded step settles as a failure in the usage counters
+        # too, so the exported in_progress gauge is not stuck at 1.
+        assert gateway.metrics.counters("lab").in_progress == 0
