@@ -29,19 +29,25 @@ class JournalCorruption(RuntimeError):
     """A journal record or snapshot failed structural or CRC validation."""
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _canonical(rec: list) -> str:
-    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(rec)
 
 
 def encode_record(seq: int, op: str, data: dict) -> str:
-    """Encode one journal record as a CRC-protected JSON line."""
-    rec = [seq, op, data]
-    crc = zlib.crc32(_canonical(rec).encode("utf-8"))
-    return json.dumps(
-        {"crc": crc, "rec": rec, "v": FORMAT_VERSION},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    """Encode one journal record as a CRC-protected JSON line.
+
+    The ``rec`` array is serialized once: the CRC is taken over those
+    canonical bytes and they are spliced into the envelope, which is
+    byte-for-byte what serializing the whole sorted-key envelope gives
+    (``crc`` < ``rec`` < ``v``, and a nested value serializes the same
+    as a top-level one).
+    """
+    canonical = _canonical([seq, op, data])
+    crc = zlib.crc32(canonical.encode("utf-8"))
+    return f'{{"crc":{crc},"rec":{canonical},"v":{FORMAT_VERSION}}}'
 
 
 def decode_record(line: str) -> tuple[int, str, dict]:
@@ -64,7 +70,12 @@ def decode_record(line: str) -> tuple[int, str, dict]:
     ):
         raise JournalCorruption(f"malformed journal record: {line[:120]!r}")
     seq, op, data = doc["rec"]
-    if not isinstance(seq, int) or not isinstance(op, str) or not isinstance(data, dict):
+    if (
+        not isinstance(seq, int)
+        or isinstance(seq, bool)  # JSON true/false would pass as 1/0
+        or not isinstance(op, str)
+        or not isinstance(data, dict)
+    ):
         raise JournalCorruption(f"malformed journal record fields: {line[:120]!r}")
     crc = zlib.crc32(_canonical(doc["rec"]).encode("utf-8"))
     if crc != doc.get("crc"):

@@ -87,6 +87,16 @@ class FileDurableStore(DurableStore):
     ``<dir>/snapshot.json`` (replaced atomically). A leftover
     ``snapshot.json.tmp`` from a crash mid-write is ignored on read and
     overwritten on the next snapshot.
+
+    Appends go through one handle, opened on first use, and every
+    record is flushed to the OS before :meth:`append` returns — a
+    process crash loses nothing; there is no per-record ``fsync``. The
+    store also remembers the ``(seq, line)`` pairs it has written since
+    it last rewrote the journal (at most one snapshot cadence of them),
+    so truncation rewrites the kept records from memory. It re-reads
+    and CRC-decodes the journal instead only when the file's size says
+    it holds bytes this instance did not write (another writer's
+    records, a torn tail, a journal that predates the instance).
     """
 
     JOURNAL = "journal.jsonl"
@@ -97,14 +107,29 @@ class FileDurableStore(DurableStore):
         os.makedirs(self.directory, exist_ok=True)
         self._journal_path = os.path.join(self.directory, self.JOURNAL)
         self._snapshot_path = os.path.join(self.directory, self.SNAPSHOT)
+        self._handle = None
+        # What this instance wrote to the journal since it last rewrote
+        # it; the file is exactly this tail while its size matches.
+        self._tail: list[tuple[int, str]] = []
+        self._tail_bytes = 0
         self.appends = 0
         self.snapshots = 0
 
     def append(self, seq: int, line: str) -> None:
-        with open(self._journal_path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
+        if self._handle is None:
+            self._handle = open(self._journal_path, "ab")
+        raw = (line + "\n").encode("utf-8")
+        self._handle.write(raw)
+        self._handle.flush()
+        self._tail.append((seq, line))
+        self._tail_bytes += len(raw)
         self.appends += 1
+
+    def close(self) -> None:
+        """Close the append handle; the next :meth:`append` reopens it."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
     def read_journal(self) -> list[str]:
         try:
@@ -119,8 +144,6 @@ class FileDurableStore(DurableStore):
         return [line for line in raw.split("\n") if line]
 
     def write_snapshot(self, doc: str, last_seq: int, chaos=None) -> None:
-        from repro.durability.codec import decode_record
-
         tmp = self._snapshot_path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(doc)
@@ -130,6 +153,32 @@ class FileDurableStore(DurableStore):
         self.snapshots += 1
         if chaos is not None:
             chaos.trip("mid_snapshot")
+        # The replace below orphans the inode the handle writes to.
+        self.close()
+        if self._journal_size() == self._tail_bytes:
+            kept = [(seq, line) for seq, line in self._tail if seq > last_seq]
+        else:
+            kept = self._scan_journal(last_seq)
+        raw = "".join(line + "\n" for _, line in kept).encode("utf-8")
+        journal_tmp = self._journal_path + ".tmp"
+        with open(journal_tmp, "wb") as fh:
+            fh.write(raw)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(journal_tmp, self._journal_path)
+        self._tail = kept
+        self._tail_bytes = len(raw)
+
+    def _journal_size(self) -> int:
+        try:
+            return os.stat(self._journal_path).st_size
+        except FileNotFoundError:
+            return 0
+
+    def _scan_journal(self, last_seq: int) -> list[tuple[int, str]]:
+        """The journal's decodable records with ``seq > last_seq``."""
+        from repro.durability.codec import decode_record
+
         kept = []
         for line in self.read_journal():
             try:
@@ -140,14 +189,8 @@ class FileDurableStore(DurableStore):
                 # that did, so dropping it is the repair, not a loss.
                 continue
             if seq > last_seq:
-                kept.append(line)
-        journal_tmp = self._journal_path + ".tmp"
-        with open(journal_tmp, "w", encoding="utf-8") as fh:
-            for line in kept:
-                fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(journal_tmp, self._journal_path)
+                kept.append((seq, line))
+        return kept
 
     def read_snapshot(self) -> str | None:
         try:

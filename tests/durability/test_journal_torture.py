@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
 
 import pytest
 
@@ -177,3 +178,17 @@ def test_lost_snapshot_after_truncation_fails_loud(tmp_path):
     os.remove(os.path.join(store.directory, FileDurableStore.SNAPSHOT))
     with pytest.raises(JournalCorruption, match="journal gap"):
         load_state(store)
+
+
+def test_boolean_sequence_number_fails_loud():
+    """JSON ``true`` is an int to Python; a CRC-valid record carrying it
+    as its sequence must be refused, not replayed as seq 1."""
+    rec = [True, "settle", {"task_uuid": "task-1"}]
+    canonical = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    line = json.dumps(
+        {"crc": zlib.crc32(canonical.encode("utf-8")), "rec": rec, "v": 1},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    with pytest.raises(JournalCorruption, match="malformed journal record fields"):
+        decode_record(line)

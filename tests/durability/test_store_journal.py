@@ -6,8 +6,12 @@ medium, and the queue's attach/dump/load surface."""
 from __future__ import annotations
 
 import json
+import os
+import zlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.tasks import TaskRequest
 from repro.durability import (
@@ -34,6 +38,37 @@ def fresh_queue(clock=None, **kwargs):
 def test_record_codec_round_trips():
     line = encode_record(7, "put", {"message_id": 7, "nested": {"a": [1, 2]}})
     assert decode_record(line) == (7, "put", {"message_id": 7, "nested": {"a": [1, 2]}})
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(
+    seq=st.integers(min_value=1, max_value=2**63),
+    op=st.sampled_from(Journal.OPS),
+    data=st.dictionaries(st.text(), _json_values, max_size=5),
+)
+def test_record_line_format_is_pinned(seq, op, data):
+    """The on-disk line is the sorted-key compact envelope around the
+    canonical ``rec`` array, with the CRC over that array's bytes."""
+    canonical = json.dumps([seq, op, data], sort_keys=True, separators=(",", ":"))
+    expected = json.dumps(
+        {"crc": zlib.crc32(canonical.encode("utf-8")), "rec": [seq, op, data], "v": 1},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    line = encode_record(seq, op, data)
+    assert line == expected
+    assert decode_record(line) == (seq, op, data)
 
 
 def test_record_codec_rejects_stale_crc():
@@ -153,6 +188,49 @@ def test_file_store_persists_across_instances(tmp_path):
     assert reopened.read_snapshot() == store.read_snapshot()
     state, report = load_state(reopened)
     assert report.snapshot_used
+    assert state.fingerprint(decode_body) == queue.dump_state()
+
+
+def test_file_store_snapshot_keeps_foreign_records_and_drops_torn_lines(tmp_path):
+    """Bytes this store did not write send truncation through the
+    decoding scan: another writer's newer record survives, its torn
+    line does not, and the store's own later appends land after it."""
+    directory = str(tmp_path / "wal")
+    store = FileDurableStore(directory)
+    lines = {seq: encode_record(seq, "settle", {"task_uuid": f"task-{seq}"}) for seq in range(1, 7)}
+    for seq in (1, 2, 3):
+        store.append(seq, lines[seq])
+    with open(os.path.join(directory, FileDurableStore.JOURNAL), "a", encoding="utf-8") as fh:
+        fh.write(lines[4] + "\n")
+        fh.write('{"crc":1,"rec":[5,"se')  # torn: no closing bytes, no newline
+
+    store.write_snapshot("{}", 3)
+    assert store.read_journal() == [lines[4]]
+
+    store.append(5, lines[5])
+    store.append(6, lines[6])
+    store.write_snapshot("{}", 4)
+    store.close()
+    assert FileDurableStore(directory).read_journal() == [lines[5], lines[6]]
+
+
+def test_file_store_appends_after_snapshots_reach_a_fresh_instance(tmp_path):
+    """Truncation replaces the journal file; the appends that follow
+    must go to the new file, not the replaced one."""
+    directory = str(tmp_path / "wal")
+    journal = Journal(FileDurableStore(directory), snapshot_every_records=4)
+    queue = fresh_queue()
+    queue.attach_journal(journal)
+    for i in range(10):  # snapshots after records 4 and 8
+        queue.put(f"m{i}", topic="t")
+    assert journal.snapshots_taken == 2
+    journal.store.close()
+
+    reopened = FileDurableStore(directory)
+    assert [decode_record(line)[0] for line in reopened.read_journal()] == [9, 10]
+    state, report = load_state(reopened)
+    assert report.snapshot_used
+    assert report.records_replayed == 2
     assert state.fingerprint(decode_body) == queue.dump_state()
 
 
